@@ -112,9 +112,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// The cost section gates the analysis scheduler/cache economics:
-	// deterministic counters exact-match the baseline, one edit must
-	// re-analyze under 10% of the corpus, and cold wall time may not
+	// The cost section gates the analysis scheduler: deterministic
+	// counters exact-match the baseline, and cold wall time may not
 	// blow up asymptotically.
 	if regs := harness.CompareCost(base, cur); len(regs) > 0 {
 		fmt.Fprintf(stderr, "benchdiff: %d analysis-cost failure(s) vs %s:\n", len(regs), fs.Arg(0))

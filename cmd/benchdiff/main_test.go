@@ -181,4 +181,33 @@ func TestUnknownSectionsAreTolerated(t *testing.T) {
 	if code, _, stderr := runCLI(t, plain, withExtras); code != 0 {
 		t.Fatalf("plain baseline vs decisions+unknown: exit %d, %s", code, stderr)
 	}
+
+	// Baselines from before the summary cache was removed carry warm-run
+	// keys in their cost section. They must still decode, and their cost
+	// section must still compare against a current one.
+	staleCost := filepath.Join(dir, "stale_cost.json")
+	if err := os.WriteFile(staleCost, []byte(`{
+		"rows": [{"table":"table1_linkedlist","level":"site","iters":100,"ns_per_op":1000,"b_per_op":8,"allocs_per_op":0}],
+		"cost": {"corpus": "gen(seed=404,components=30,funcs=10)", "functions": 360, "sccs": 330,
+			"components": 30, "waves": 8, "contexts": 329, "nodes": 210, "strong_kills": 0,
+			"iterations": 3, "budget_fallbacks": 0, "cold_wall_ns": 14120253,
+			"warm_wall_ns": 6688310, "warm_cache_hits": 29, "warm_funcs_analyzed": 12,
+			"reanalyzed_fraction": 0.03333333333333333}
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	current := &harness.BenchReport{
+		Rows: []harness.BenchRow{row("table1_linkedlist", "site", 1000, 0)},
+		Cost: &harness.CostRow{Corpus: "gen(seed=404,components=30,funcs=10)", Functions: 360, SCCs: 330,
+			Components: 30, Waves: 8, Contexts: 329, Nodes: 210, Iterations: 3, ColdWallNS: 14120253},
+	}
+	withCost := writeReport(t, dir, "cost.json", current)
+	if code, _, stderr := runCLI(t, staleCost, withCost); code != 0 {
+		t.Fatalf("stale cost baseline vs current: exit %d, %s", code, stderr)
+	}
+	current.Cost.Nodes++
+	drifted := writeReport(t, dir, "drifted.json", current)
+	if code, _, stderr := runCLI(t, staleCost, drifted); code != 1 || !strings.Contains(stderr, "cost: nodes 210 -> 211") {
+		t.Fatalf("stale cost baseline vs drifted counter: exit %d, %s", code, stderr)
+	}
 }

@@ -81,9 +81,8 @@ func main() {
 	explainSmoke := flag.Bool("explain-smoke", false, "self-validate the explain reports of every bundled example")
 	fingerprints := flag.Bool("fingerprints", false, "print the per-class plan fingerprints the compiled program would advertise in its HELLO")
 	verdictMatrix := flag.String("verdict-matrix", "", "compile every *.jp under the directory and print the verdict matrix")
-	analysisStats := flag.Bool("analysis-stats", false, "print the analysis cost table (structure, precision effort, cache economics)")
+	analysisStats := flag.Bool("analysis-stats", false, "print the analysis cost table (structure, precision effort, wall time)")
 	analysisStatsJSON := flag.Bool("analysis-stats-json", false, "print the analysis cost as JSON (schema "+heap.CostSchema+")")
-	analysisCache := flag.String("analysis-cache", "", "persist/reuse region summaries under this directory (incremental analysis)")
 	analysisWorkers := flag.Int("analysis-workers", 0, "analysis worker pool size (0 = GOMAXPROCS)")
 	flag.Parse()
 
@@ -127,9 +126,8 @@ func main() {
 	}
 
 	copts := core.Options{}
-	if *analysisCache != "" || *analysisWorkers != 0 {
+	if *analysisWorkers != 0 {
 		ho := heap.DefaultOptions()
-		ho.CacheDir = *analysisCache
 		ho.Workers = *analysisWorkers
 		copts.HeapOpts = &ho
 	}

@@ -1,14 +1,13 @@
 package harness
 
-// The analysis-at-scale harness (ISSUE 10): generated MiniJP corpora
-// large enough to exercise the parallel per-region scheduler and the
-// incremental summary cache, priced by heap.CostStats. analysis_test.go
-// gates the numbers in CI (`make verify-analysis`); RunAnalysisCost
-// feeds the `cost` section of the rmibench JSON report.
+// The analysis-at-scale harness: generated MiniJP corpora large
+// enough to exercise the parallel per-region scheduler, priced by
+// heap.CostStats. analysis_test.go gates the numbers in CI (`make
+// verify-analysis`); RunAnalysisCost feeds the `cost` section of the
+// rmibench JSON report.
 
 import (
 	"fmt"
-	"os"
 
 	"cormi/internal/heap"
 	"cormi/internal/heap/gen"
@@ -45,15 +44,14 @@ func AnalyzeCorpus(cfg gen.Config, opts heap.Options) (*heap.Analysis, error) {
 }
 
 // CostRow is the bench report's analysis-cost section: one pinned
-// corpus measured cold (empty cache) and warm (after a one-function
-// edit), so a baseline diff catches both scalability and incremental
-// regressions.
+// corpus analyzed once, so a baseline diff catches scalability and
+// precision regressions.
 type CostRow struct {
 	// Corpus identifies the pinned generator config.
 	Corpus string `json:"corpus"`
 
-	// Deterministic structure and precision counters of the cold run
-	// (equal on every machine; benchdiff matches them exactly).
+	// Deterministic structure and precision counters (equal on every
+	// machine; benchdiff matches them exactly).
 	Functions   int `json:"functions"`
 	SCCs        int `json:"sccs"`
 	Components  int `json:"components"`
@@ -66,68 +64,35 @@ type CostRow struct {
 	// fan-in is designed under the context budget.
 	BudgetFallbacks int `json:"budget_fallbacks"`
 
-	// Wall times (environment-dependent; benchdiff allows a generous
-	// tolerance).
+	// ColdWallNS is the analysis wall time (environment-dependent;
+	// benchdiff allows a generous tolerance).
 	ColdWallNS int64 `json:"cold_wall_ns"`
-	WarmWallNS int64 `json:"warm_wall_ns"`
-
-	// Incremental behavior of the warm run after editing ONE function.
-	WarmCacheHits     int `json:"warm_cache_hits"`
-	WarmFuncsAnalyzed int `json:"warm_funcs_analyzed"`
-	// ReanalyzedFraction = WarmFuncsAnalyzed / Functions; the CI gate
-	// holds it under 0.10.
-	ReanalyzedFraction float64 `json:"reanalyzed_fraction"`
 }
 
 // benchCorpus is the pinned config behind the bench cost section:
 // large enough that scheduling matters, small enough for `make bench`.
 var benchCorpus = gen.Config{Seed: 404, Components: 30, FuncsPerComponent: 10}
 
-// benchEditFunc is the single function edited for the warm
-// measurement (an arbitrary mid-chain helper).
-const benchEditFunc = "C7App.f5"
-
-// RunAnalysisCost measures the pinned corpus cold and warm and builds
-// the cost section row.
+// RunAnalysisCost analyzes the pinned corpus and builds the cost
+// section row.
 func RunAnalysisCost() (*CostRow, error) {
-	dir, err := os.MkdirTemp("", "cormi-cost-")
-	if err != nil {
-		return nil, fmt.Errorf("harness: cost cache dir: %w", err)
-	}
-	defer os.RemoveAll(dir)
-
-	opts := heap.DefaultOptions()
-	opts.CacheDir = dir
-	cold, err := AnalyzeCorpus(benchCorpus, opts)
+	a, err := AnalyzeCorpus(benchCorpus, heap.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-
-	edited := benchCorpus
-	edited.Edits = map[string]int{benchEditFunc: 1}
-	warm, err := AnalyzeCorpus(edited, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	c := cold.Cost
-	row := &CostRow{
+	c := a.Cost
+	return &CostRow{
 		Corpus: fmt.Sprintf("gen(seed=%d,components=%d,funcs=%d)",
 			benchCorpus.Seed, benchCorpus.Components, benchCorpus.FuncsPerComponent),
-		Functions:          c.Functions,
-		SCCs:               c.SCCs,
-		Components:         c.Components,
-		Waves:              c.Waves,
-		Contexts:           c.Contexts,
-		Nodes:              c.Nodes,
-		StrongKills:        c.StrongKills,
-		Iterations:         c.Iterations,
-		BudgetFallbacks:    c.BudgetFallbacks,
-		ColdWallNS:         c.WallNS,
-		WarmWallNS:         warm.Cost.WallNS,
-		WarmCacheHits:      warm.Cost.CacheHits,
-		WarmFuncsAnalyzed:  warm.Cost.FuncsAnalyzed,
-		ReanalyzedFraction: float64(warm.Cost.FuncsAnalyzed) / float64(warm.Cost.Functions),
-	}
-	return row, nil
+		Functions:       c.Functions,
+		SCCs:            c.SCCs,
+		Components:      c.Components,
+		Waves:           c.Waves,
+		Contexts:        c.Contexts,
+		Nodes:           c.Nodes,
+		StrongKills:     c.StrongKills,
+		Iterations:      c.Iterations,
+		BudgetFallbacks: c.BudgetFallbacks,
+		ColdWallNS:      c.WallNS,
+	}, nil
 }

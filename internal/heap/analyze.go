@@ -24,51 +24,25 @@ func Analyze(prog *ir.Program) *Analysis {
 // partitions the program into independent analysis regions (weakly
 // connected components of the call + shared-static graph, computed by
 // internal/heap/sched), solves each region to fixpoint — concurrently
-// across Options.Workers, loading regions whose content key hits the
-// summary cache instead of re-solving them — and merges the parts
-// into one program-wide Analysis.
+// across Options.Workers — and merges the parts into one program-wide
+// Analysis.
 //
-// The merge is what makes parallelism and caching invisible: regions
-// share no analysis state (facts flow only along call edges and
-// shared statics, both region-internal by construction), each region
-// is solved by the same deterministic sequential engine, and the
-// merged node/context numbering depends only on the deterministic
-// region order. A run at any worker count, cold or warm, is therefore
-// bit-identical to the sequential cold run — the invariant `make
-// verify-analysis` enforces.
+// The merge is what makes parallelism invisible: regions share no
+// analysis state (facts flow only along call edges and shared
+// statics, both region-internal by construction), each region is
+// solved by the same deterministic sequential engine, and the merged
+// node/context numbering depends only on the deterministic region
+// order. A run at any worker count is therefore bit-identical to the
+// sequential run — the invariant TestAnalysisDeterminism enforces.
 func AnalyzeOpts(prog *ir.Program, opts Options) *Analysis {
 	start := time.Now()
 	plan := sched.BuildPlan(prog)
 	nc := len(plan.Components)
 	parts := make([]*Analysis, nc)
-	loaded := make([]bool, nc)
-
-	var cache *sched.Cache
-	var hashes *sched.Hashes
-	if opts.CacheDir != "" {
-		cache = sched.Open(opts.CacheDir)
-		hashes = plan.Hashes(opts.fingerprint())
-	}
 	workers := opts.workers()
 	sched.Run(nc, workers, func(ci int) {
-		if cache != nil {
-			if payload, ok := cache.Load(hashes.Component[ci]); ok {
-				if part := decodeComponent(prog, plan, ci, opts, payload); part != nil {
-					parts[ci] = part
-					loaded[ci] = true
-					return
-				}
-			}
-		}
-		part := solveComponent(prog, plan, ci, opts)
-		parts[ci] = part
-		if cache != nil {
-			cache.Store(hashes.Component[ci], encodeComponent(plan, ci, part))
-		}
+		parts[ci] = solveComponent(prog, plan, ci, opts)
 	})
-	if cache != nil {
-		cache.WriteManifest(plan, hashes)
-	}
 
 	a := mergeParts(prog, opts, parts)
 	a.Cost = CostStats{
@@ -77,17 +51,6 @@ func AnalyzeOpts(prog *ir.Program, opts Options) *Analysis {
 		Components: nc,
 		Waves:      plan.Waves,
 		Workers:    workers,
-	}
-	for ci, comp := range plan.Components {
-		if loaded[ci] {
-			a.Cost.CacheHits++
-			a.Cost.FuncsLoaded += len(comp.Funcs)
-		} else {
-			if cache != nil {
-				a.Cost.CacheMisses++
-			}
-			a.Cost.FuncsAnalyzed += len(comp.Funcs)
-		}
 	}
 	a.Cost.fillFromAnalysis(a)
 	a.Cost.WallNS = time.Since(start).Nanoseconds()

@@ -1,19 +1,14 @@
 // Package gen produces seeded MiniJP corpora for the analysis
-// scalability gates (DESIGN.md §16). A corpus is a deterministic
-// function of its Config: the same seed always yields byte-identical
-// source, and an entry in Edits changes exactly one function body (a
-// salt constant) without moving any call edge — the shape the
-// incremental-invalidation tests need. ExtraCalls is the structural
-// counterpart: it adds one call edge out of a chosen function, for the
-// edge add/remove rewiring tests.
+// scalability gates (DESIGN.md §16) and the benchmark's compile
+// workload. A corpus is a deterministic function of its Config: the
+// same config always yields byte-identical source.
 //
 // Each component k is a self-contained class family (CkNode, remote
 // CkSvc, CkApp) whose functions never reference another component, so
 // the scheduler must discover exactly Components independent regions.
 // Within a component the helpers form a call chain with seeded
 // cross-links, a mutually recursive pair (f1/f2), a remote call, and a
-// static-field escape — every analysis feature the cache must
-// serialize.
+// static-field escape — every feature the analysis models.
 package gen
 
 import (
@@ -22,26 +17,18 @@ import (
 	"strings"
 )
 
-// Config selects a corpus. Structure (call edges) depends only on
-// Seed, Components, FuncsPerComponent, and ExtraCalls; Edits perturbs
-// single function bodies without changing structure.
+// Config selects a corpus.
 type Config struct {
 	Seed              int64
 	Components        int
 	FuncsPerComponent int
-	// Edits bumps the named function's salt constant by the given
-	// delta ("CkApp.fi" -> delta). The zero map is the pristine corpus.
-	Edits map[string]int
-	// ExtraCalls adds one extra call edge (to the component's leaf
-	// function) out of each named mid-chain function.
-	ExtraCalls map[string]bool
 }
 
-// Corpus is a generated program plus its editable-function inventory.
+// Corpus is a generated program plus its helper-function inventory.
 type Corpus struct {
 	Source string
 	// Funcs lists the app helper functions ("CkApp.fi") in component
-	// order — the names Edits and ExtraCalls accept.
+	// order.
 	Funcs []string
 }
 
@@ -74,7 +61,7 @@ func genComponent(b *strings.Builder, corpus *Corpus, cfg Config, rng *rand.Rand
 	svc := fmt.Sprintf("C%dSvc", k)
 	app := fmt.Sprintf("C%dApp", k)
 	name := func(i int) string { return fmt.Sprintf("%s.f%d", app, i) }
-	salt := func(i int) int { return 100*k + 7*i + cfg.Edits[name(i)] }
+	salt := func(i int) int { return 100*k + 7*i }
 	leaf := m - 1
 
 	fmt.Fprintf(b, "class %s { %s next; int v; }\n", node, node)
@@ -103,8 +90,7 @@ func genComponent(b *strings.Builder, corpus *Corpus, cfg Config, rng *rand.Rand
 			fmt.Fprintf(b, "\t\t%s g = s.get();\n", node)
 			fmt.Fprintf(b, "\t\treturn r + g.v;\n\t}\n")
 		case i == 1 || i == 2:
-			// Mutually recursive pair: a direct-call SCC of size 2, so
-			// editing either member must invalidate both.
+			// Mutually recursive pair: a direct-call SCC of size 2.
 			other := 3 - i
 			fmt.Fprintf(b, "\tstatic %s f%d(int d) {\n", node, i)
 			fmt.Fprintf(b, "\t\tint salt = %d;\n", salt(i))
@@ -125,9 +111,6 @@ func genComponent(b *strings.Builder, corpus *Corpus, cfg Config, rng *rand.Rand
 			fmt.Fprintf(b, "\t\t%s n = %s.f%d(d + salt);\n", node, app, next)
 			if cross := i + 2; cross < leaf && rng.Intn(2) == 0 {
 				fmt.Fprintf(b, "\t\tn.next = %s.f%d(d);\n", app, cross)
-			}
-			if cfg.ExtraCalls[name(i)] {
-				fmt.Fprintf(b, "\t\tn.next = %s.f%d(d + 1);\n", app, leaf)
 			}
 			fmt.Fprintf(b, "\t\treturn n;\n\t}\n")
 		}

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"strings"
 	"testing"
 
 	"cormi/internal/ir"
@@ -42,43 +41,4 @@ func TestGenerateCompilesAndIsDeterministic(t *testing.T) {
 	if len(c1.Funcs) != 5*8 {
 		t.Fatalf("got %d listed funcs, want %d", len(c1.Funcs), 5*8)
 	}
-}
-
-// An edit must change exactly one function body and nothing else.
-func TestEditIsSingleFunction(t *testing.T) {
-	cfg := Config{Seed: 7, Components: 3, FuncsPerComponent: 8}
-	base := Generate(cfg)
-	cfg.Edits = map[string]int{"C1App.f4": 1000}
-	edited := Generate(cfg)
-	if base.Source == edited.Source {
-		t.Fatal("edit did not change the source")
-	}
-	bl := strings.Split(base.Source, "\n")
-	el := strings.Split(edited.Source, "\n")
-	if len(bl) != len(el) {
-		t.Fatalf("edit changed line count: %d vs %d", len(bl), len(el))
-	}
-	diff := 0
-	for i := range bl {
-		if bl[i] != el[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("edit changed %d lines, want exactly 1", diff)
-	}
-	compile(t, edited.Source)
-}
-
-// ExtraCalls must add a call edge and still compile.
-func TestExtraCallCompiles(t *testing.T) {
-	cfg := Config{
-		Seed: 7, Components: 2, FuncsPerComponent: 8,
-		ExtraCalls: map[string]bool{"C0App.f4": true},
-	}
-	c := Generate(cfg)
-	if !strings.Contains(c.Source, "C0App.f7(d + 1)") {
-		t.Fatal("extra call edge missing from source")
-	}
-	compile(t, c.Source)
 }

@@ -43,7 +43,6 @@ import (
 	"sort"
 	"strings"
 
-	"cormi/internal/heap/sched"
 	"cormi/internal/ir"
 	"cormi/internal/lang"
 )
@@ -67,10 +66,10 @@ const MergedCtx Ctx = 0
 const DefaultContextBudget = 16
 
 // Options selects the analysis precision/cost trade-offs, plus the
-// scheduling knobs of the parallel/incremental driver. Only the
-// precision fields may influence analysis RESULTS; Workers and
-// CacheDir are pure accelerators, and the determinism gate
-// (`make verify-analysis`) pins that they change nothing observable.
+// worker count of the parallel driver. Only the precision fields may
+// influence analysis RESULTS; Workers is a pure accelerator, and the
+// determinism gate (`make verify-precision`) pins that it changes
+// nothing observable.
 type Options struct {
 	// ContextSensitive enables 1-call-site-sensitive interprocedural
 	// analysis (per-call-site callee summaries).
@@ -84,11 +83,6 @@ type Options struct {
 	// Workers bounds the worker pool solving independent analysis
 	// regions concurrently (0 means GOMAXPROCS, 1 forces sequential).
 	Workers int
-	// CacheDir, when non-empty, enables the persistent summary cache
-	// (conventionally a `.cormi-cache` directory): regions whose
-	// content key matches a cached summary are loaded instead of
-	// re-solved.
-	CacheDir string
 }
 
 // DefaultOptions is the production configuration: both refinements on.
@@ -113,17 +107,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// fingerprint digests the result-affecting options only — the summary
-// cache must be oblivious to Workers and CacheDir, which by the
-// determinism contract cannot change any analysis fact.
-func (o Options) fingerprint() uint64 {
-	h := sched.NewHasher()
-	h.Bool(o.ContextSensitive)
-	h.Bool(o.StrongUpdates)
-	h.Uint(uint64(o.budget()))
-	return h.Sum()
 }
 
 // ElemKey is the pseudo-field naming array element edges (the "[]"
@@ -303,11 +286,11 @@ type Analysis struct {
 
 // Stats summarizes the analysis cost for the verdict matrix.
 type Stats struct {
-	Nodes       int // heap nodes (originals, context clones, RMI clones)
-	Contexts    int // total analysis contexts (incl. the merged one)
+	Nodes        int // heap nodes (originals, context clones, RMI clones)
+	Contexts     int // total analysis contexts (incl. the merged one)
 	PeakPointsTo int // largest per-context value points-to set
-	StrongKills int // stores removed by strong updates
-	Iterations  int // fixpoint passes of the final run
+	StrongKills  int // stores removed by strong updates
+	Iterations   int // fixpoint passes of the final run
 }
 
 // AnalysisStats reports the cost metrics of the finished analysis.

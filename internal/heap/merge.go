@@ -11,8 +11,8 @@ import (
 // 1); the merge relocates both by cumulative offsets in region order.
 // Because region order (minimum member function index) and each
 // part's internal numbering are deterministic, the merged numbering
-// is a pure function of the program — independent of worker count,
-// scheduling, and cache state.
+// is a pure function of the program — independent of worker count
+// and scheduling.
 //
 // No key can collide across parts: points-to keys are per-function
 // SSA values, allocation keys are per-instruction, static fields

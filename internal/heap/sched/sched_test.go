@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -146,98 +144,5 @@ func TestPoolRunCoversAllOnce(t *testing.T) {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
 			}
 		}
-	}
-}
-
-func TestCacheRoundTripAndCorruption(t *testing.T) {
-	dir := t.TempDir()
-	c := Open(dir)
-	payload := []byte("region summary payload")
-	const key = 0xdeadbeef
-
-	if _, ok := c.Load(key); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Store(key, payload)
-	got, ok := c.Load(key)
-	if !ok || string(got) != string(payload) {
-		t.Fatalf("round trip: ok=%v got=%q", ok, got)
-	}
-
-	// Any mutilation of the file must read as a miss, never an error.
-	path := filepath.Join(dir, "00000000deadbeef.sum")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutations := map[string][]byte{
-		"empty":     {},
-		"truncated": raw[:len(raw)-3],
-		"badmagic":  append([]byte("XXXXXXXX"), raw[8:]...),
-		"flipped": func() []byte {
-			b := append([]byte(nil), raw...)
-			b[len(b)/2] ^= 0x40
-			return b
-		}(),
-	}
-	for name, b := range mutations {
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := c.Load(key); ok {
-			t.Errorf("%s file read as a hit", name)
-		}
-	}
-}
-
-func TestCacheOpenFailureIsNoop(t *testing.T) {
-	// A file where the directory should be: Open degrades to an
-	// always-miss cache instead of failing the analysis.
-	file := filepath.Join(t.TempDir(), "occupied")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c := Open(filepath.Join(file, "sub"))
-	c.Store(1, []byte("x"))
-	if _, ok := c.Load(1); ok {
-		t.Error("degraded cache returned a hit")
-	}
-}
-
-// Editing one function must change its IR hash, its SCC's summary
-// hash, and the summary hash of every transitive caller — and nothing
-// else. This is the invalidation cone the incremental mode rests on.
-func TestSummaryHashPropagation(t *testing.T) {
-	src := func(leafConst int) string {
-		return `
-class A {
-	static int leaf(int d) { return d + ` + string(rune('0'+leafConst)) + `; }
-	static int mid(int d) { return A.leaf(d); }
-	static int root(int d) { return A.mid(d); }
-	static int lone(int d) { return d; }
-}
-`
-	}
-	p1 := BuildPlan(compile(t, src(1)))
-	p2 := BuildPlan(compile(t, src(2)))
-	h1 := p1.Hashes(0)
-	h2 := p2.Hashes(0)
-	changed := map[string]bool{"A.leaf": true, "A.mid": true, "A.root": true, "A.lone": false}
-	for name, want := range changed {
-		i1, i2 := funcIdx(t, p1, name), funcIdx(t, p2, name)
-		if (h1.IR[i1] != h2.IR[i2]) != (name == "A.leaf") {
-			t.Errorf("%s: IR hash changed=%v, want %v", name, h1.IR[i1] != h2.IR[i2], name == "A.leaf")
-		}
-		if got := h1.Summary[p1.SCCOf[i1]] != h2.Summary[p2.SCCOf[i2]]; got != want {
-			t.Errorf("%s: summary hash changed=%v, want %v", name, got, want)
-		}
-	}
-	// The component key covers all members, so it must change too.
-	if h1.Component[0] == h2.Component[0] {
-		t.Error("component key did not change on a member edit")
-	}
-	// Precision options are part of every key.
-	if p1.Hashes(1).Component[0] == h1.Component[0] {
-		t.Error("component key ignores the options fingerprint")
 	}
 }

@@ -43,6 +43,7 @@ func TestTraceContextPropagatesSyncCall(t *testing.T) {
 	if _, err := cs.Invoke(c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(func() bool { return storedSpans(tr) >= 2 })
 	traces := tr.Traces()
 	if len(traces) != 1 {
 		t.Fatalf("%d traces retained, want 1", len(traces))
@@ -125,6 +126,7 @@ func TestTraceContextPipelinedChainOneTrace(t *testing.T) {
 	for _, f := range futs {
 		f.Release()
 	}
+	waitFor(func() bool { return storedSpans(tr) >= 2*depth })
 	traces := tr.Traces()
 	if len(traces) != 1 {
 		t.Fatalf("%d traces retained, want the whole chain in 1", len(traces))

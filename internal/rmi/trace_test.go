@@ -50,6 +50,27 @@ func (b *syncBuffer) waitDump(t *testing.T) []byte {
 }
 
 // spansFor filters the flight recorder to one call id.
+// waitFor polls cond for a bounded time. The callee closes its span
+// only after the reply is on the wire, so a caller's Invoke can return
+// before the callee half is recorded; tests wait for it with this. On
+// timeout it returns and the test's own assertions report what is
+// missing.
+func waitFor(cond func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// storedSpans counts the spans retained in the per-trace store, which
+// a closing span reaches after the flight recorder.
+func storedSpans(tr *trace.Tracer) int {
+	n := 0
+	for _, s := range tr.Traces() {
+		n += s.Spans
+	}
+	return n
+}
+
 func spansFor(recs []trace.SpanRecord, seq int64) (caller, callee *trace.SpanRecord) {
 	for i := range recs {
 		r := &recs[i]
@@ -83,6 +104,7 @@ func TestTracedCallProducesBothSpans(t *testing.T) {
 		t.Fatalf("result = %d, want 42", out[0].I)
 	}
 
+	waitFor(func() bool { return len(tr.Recent()) >= 2 })
 	recs := tr.Recent()
 	if len(recs) != 2 {
 		t.Fatalf("flight recorder holds %d spans, want 2 (caller+callee)", len(recs))
@@ -288,6 +310,7 @@ func TestTracedCallOverTCP(t *testing.T) {
 	if out[0].I != 2 {
 		t.Fatalf("result = %d, want 2", out[0].I)
 	}
+	waitFor(func() bool { return len(tr.Recent()) >= 2 })
 	caller, callee := spansFor(tr.Recent(), 1)
 	if caller == nil || callee == nil {
 		t.Fatalf("missing span half over TCP: caller=%v callee=%v", caller, callee)

@@ -127,17 +127,18 @@ func (e *tcpEndpoint) acceptLoop(l net.Listener) {
 const tcpMetaSize = 20
 
 func (e *tcpEndpoint) readLoop(c net.Conn) {
+	// Whatever ends the loop — a bad preamble or frame, a short read,
+	// the peer hanging up, or shutdown — the connection is finished.
+	defer e.dropAccepted(c)
 	// Every connection opens with the wire preamble (magic + protocol
 	// version, written by the dialer below): a peer speaking another
 	// protocol or version is rejected from its first six bytes instead
 	// of having its stream misparsed as frames.
 	var pre [wire.PreambleSize]byte
 	if _, err := io.ReadFull(c, pre[:]); err != nil {
-		c.Close()
 		return
 	}
 	if err := wire.CheckPreamble(pre[:]); err != nil {
-		c.Close()
 		return
 	}
 	// The 24-byte header (length + metadata) lands in a stack buffer;
@@ -181,6 +182,19 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 			return
 		}
 	}
+}
+
+// dropAccepted closes an incoming connection and forgets it.
+func (e *tcpEndpoint) dropAccepted(c net.Conn) {
+	c.Close()
+	e.mu.Lock()
+	for i, a := range e.accept {
+		if a == c {
+			e.accept = append(e.accept[:i], e.accept[i+1:]...)
+			break
+		}
+	}
+	e.mu.Unlock()
 }
 
 func (e *tcpEndpoint) Send(p Packet) error {
